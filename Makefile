@@ -34,13 +34,14 @@ deliverybench:
 quick:
 	cargo run --release --bin experiments -- all --quick
 
-# Capture quick E2 + E12 + E13 + E14 traces, validate the schema, and diff
-# the trace-derived message counts against the cost ledger — including the
-# combining identity on E13's L2C cells and the sharded-kernel sync/recv
-# identities on E12's part files (see OBSERVABILITY.md).
+# Capture quick E1 + E2 + E7 + E12 + E13 + E14 traces, validate the schema,
+# and diff the trace-derived message counts against the cost ledger —
+# including the MH→MH relay path of E1's and E7's L1 cells, the combining
+# identity on E13's L2C cells and the sharded-kernel sync/recv identities
+# on E12's part files (see OBSERVABILITY.md).
 tracecheck:
 	cargo build --release --bin experiments --bin tracereport
-	./target/release/experiments e2 e12 e13 e14 --quick --trace target/tracecheck.jsonl > /dev/null
+	./target/release/experiments e1 e2 e7 e12 e13 e14 --quick --trace target/tracecheck.jsonl > /dev/null
 	./target/release/tracereport --check target/tracecheck.jsonl
 
 # Run the full sweep set twice against one cache directory and diff the

@@ -65,6 +65,8 @@ if [[ $fast -eq 0 ]]; then
   cargo test --release -q -p mobidist-bench --test sim_reuse
   cargo test --release -q -p mobidist-bench --test trace_check
   cargo test --release -q -p mobidist-bench --test cache_check
+  # L1's golden run pins its episode sequence, ledger and reorder peak.
+  cargo test --release -q -p mobidist-core --test mutex_runs
 
   # Cache-soundness gate: run the cacheable sweep set (e0..e11, e13, e14) twice
   # against one cache directory. The second pass must replay from disk —
@@ -133,7 +135,9 @@ if [[ $fast -eq 0 ]]; then
   #      traces, every shard count) plus the counting-allocator suite that
   #      pins zero steady-state allocations per delivery;
   #   3. tracereport --check on a batched traced run, so the trace/ledger
-  #      reconciliation identities hold with coalescing on.
+  #      reconciliation identities hold with coalescing on. E1 and E7 put
+  #      the MH→MH relay path in the trace, including E7's failed searches
+  #      that cancel sequence numbers in the reorder buffers.
   echo "==> delivery-soundness gate"
   delivery_exps="e1 e2 e12 e13"
   ./target/release/experiments $delivery_exps --quick > "$cachedir/del_batched.txt"
@@ -144,7 +148,7 @@ if [[ $fast -eq 0 ]]; then
   cargo test --release -q -p mobidist-bench --test delivery_equivalence
   cargo test --release -q -p mobidist-net --test delivery_alloc
   cargo build --release --bin tracereport
-  ./target/release/experiments e2 e13 --quick --trace "$cachedir/del_trace.jsonl" \
+  ./target/release/experiments e1 e2 e7 e13 --quick --trace "$cachedir/del_trace.jsonl" \
     > /dev/null
   ./target/release/tracereport --check "$cachedir/del_trace.jsonl"
 

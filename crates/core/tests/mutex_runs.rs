@@ -126,6 +126,131 @@ fn l1_stalls_when_a_participant_disconnects() {
     assert_eq!(r.outstanding, 1, "the request stalls forever");
 }
 
+/// Pins one L1 run under mobility with a forced disconnect/reconnect: the
+/// episode sequence, the ledger and the reorder peak. The disconnect makes
+/// searches fail, so the reorder buffers' cancel path runs (and the run
+/// stalls, as the paper predicts for L1); the peak shows that out-of-order
+/// arrivals were held back, not only passed straight through.
+#[test]
+fn l1_golden_run_under_mobility_and_disconnection() {
+    let n = 24;
+    let cfg = net(6, n, 12).with_mobility(MobilityConfig::moving(300));
+    let wl = WorkloadConfig::all_mhs(n, 2);
+    let algo = L1::new(wl.requesters.clone());
+    let mut sim = Simulation::new(cfg, MutexHarness::new(algo, wl));
+    sim.run_until(SimTime::from_ticks(400));
+    sim.with_ctx(|ctx, _| ctx.initiate_disconnect(MhId(7)));
+    sim.run_until(SimTime::from_ticks(500));
+    sim.with_ctx(|ctx, _| ctx.initiate_reconnect(MhId(7), None, 10));
+    sim.run_until(SimTime::from_ticks(60_000));
+
+    // (mh, key, requested_at, granted_at) per episode, in grant order.
+    const EPISODES: [(u32, u64, u64, u64); 31] = [
+        (2, 65538, 1, 61),
+        (3, 65539, 8, 81),
+        (5, 65541, 16, 118),
+        (13, 65549, 7, 142),
+        (16, 65552, 16, 174),
+        (17, 65553, 3, 206),
+        (20, 65556, 16, 223),
+        (21, 65557, 45, 249),
+        (6, 262150, 18, 278),
+        (7, 393223, 20, 295),
+        (12, 655372, 27, 350),
+        (22, 655382, 72, 392),
+        (9, 1310729, 41, 422),
+        (10, 1441802, 52, 519),
+        (15, 1441807, 52, 536),
+        (19, 1441811, 45, 557),
+        (4, 1572868, 60, 580),
+        (8, 1835016, 62, 603),
+        (23, 1835031, 66, 620),
+        (1, 3407873, 84, 653),
+        (18, 3538962, 93, 685),
+        (0, 4194304, 126, 721),
+        (11, 4194315, 131, 742),
+        (14, 4194318, 126, 766),
+        (5, 4456453, 127, 818),
+        (13, 5177357, 162, 841),
+        (16, 7733264, 238, 867),
+        (17, 7864337, 242, 890),
+        (3, 7929859, 249, 911),
+        (20, 7995412, 236, 970),
+        (6, 8585222, 280, 987),
+    ];
+    let episodes: Vec<(u32, u64, u64, u64)> = sim
+        .protocol()
+        .checker()
+        .episodes()
+        .iter()
+        .map(|e| {
+            let key = e.key.expect("L1 grants are keyed");
+            (e.mh.0, key, e.requested_at.ticks(), e.granted_at.ticks())
+        })
+        .collect();
+    assert_eq!(episodes, EPISODES);
+
+    let ledger = CostLedger {
+        fixed_msgs: 7,
+        wireless_msgs: 5837,
+        searches: 3659,
+        re_searches: 742,
+        search_failures: 7,
+        fixed_cost: 7,
+        wireless_cost: 58370,
+        search_cost: 18295,
+        mh_tx: vec![
+            115, 115, 115, 138, 115, 138, 138, 111, 115, 115, 115, 115, 115, 138, 115, 115, 138,
+            138, 115, 115, 138, 115, 115, 115,
+        ],
+        mh_rx: vec![
+            122, 122, 122, 121, 122, 121, 121, 115, 122, 121, 122, 122, 121, 121, 122, 122, 121,
+            121, 122, 122, 121, 121, 121, 122,
+        ],
+        mh_energy: vec![
+            237, 237, 237, 259, 237, 259, 259, 226, 237, 236, 237, 237, 236, 259, 237, 237, 259,
+            259, 237, 237, 259, 236, 236, 237,
+        ],
+        doze_interruptions: 0,
+        moves: 4460,
+        handoffs: 4460,
+        disconnects: 1,
+        reconnects: 1,
+        wireless_losses: 10,
+        custom: [("control_fixed", 4461), ("control_wireless", 8924)]
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+    };
+    assert_eq!(sim.ledger(), &ledger);
+
+    let peak = sim.kernel().reorder_peak();
+    assert_eq!(peak, 8);
+    assert!(peak >= 2, "the out-of-order path must be exercised");
+}
+
+#[test]
+fn l1_cancelled_release_leaves_no_stale_request_behind() {
+    // mh1 disconnects while mh0 holds the CS, so mh0's Release to mh1 is
+    // cancelled by the failed search, but mh0's next Request reaches mh1
+    // after it reconnects. mh1's queue then holds two of mh0's requests; the
+    // next Release must remove both, or mh1's own request never heads it.
+    let n = 3;
+    let wl = WorkloadConfig::all_mhs(n, 2).with_think(300);
+    let algo = L1::new(wl.requesters.clone());
+    let mut sim = Simulation::new(net(2, n, 0), MutexHarness::new(algo, wl));
+    assert_eq!(wait_for_holder(&mut sim, 10_000), MhId(0));
+    sim.with_ctx(|ctx, _| ctx.initiate_disconnect(MhId(1)));
+    let t = sim.now().ticks() + 150;
+    sim.run_until(SimTime::from_ticks(t));
+    sim.with_ctx(|ctx, _| ctx.initiate_reconnect(MhId(1), None, 10));
+    sim.run_until(SimTime::from_ticks(1_000_000));
+    let r = sim.protocol().report();
+    assert!(sim.ledger().search_failures > 0);
+    assert!(r.is_clean_and_live(), "{r:?}");
+    assert_eq!(r.completed, 6);
+}
+
 // ---------------------------------------------------------------- L2 ----
 
 #[test]

@@ -159,24 +159,22 @@ impl<M> Default for PairState<M> {
 }
 
 impl<M> PairState<M> {
-    /// Releases every in-order message, skipping cancelled slots. Returns
-    /// `(released, held_delta)` where `held_delta` is how many held entries
-    /// were drained.
-    fn drain(&mut self) -> (Vec<M>, usize) {
-        let mut out = Vec::new();
+    /// Releases every in-order held message to `deliver`, skipping
+    /// cancelled slots. Returns how many held entries were drained.
+    fn drain(&mut self, deliver: &mut impl FnMut(M)) -> usize {
         let mut drained = 0;
         loop {
             if let Some(m) = self.held.remove(&self.next_expected) {
                 self.next_expected += 1;
                 drained += 1;
-                out.push(m);
+                deliver(m);
             } else if self.cancelled.remove(&self.next_expected) {
                 self.next_expected += 1;
             } else {
                 break;
             }
         }
-        (out, drained)
+        drained
     }
 }
 
@@ -184,8 +182,11 @@ impl<M> PairState<M> {
 /// pairs.
 ///
 /// The sender side assigns a per-pair sequence number with [`next_seq`]; the
-/// receiver side passes arrivals to [`accept`], which returns the messages
-/// now deliverable, in order.
+/// receiver side passes arrivals to [`accept`], which hands every message
+/// now deliverable to a callback, in order. An arrival that is the next
+/// expected one goes straight to the callback: the held-back map is touched
+/// only when it is non-empty or the arrival is ahead, so in-order traffic
+/// allocates nothing.
 ///
 /// [`next_seq`]: ReorderBuffers::next_seq
 /// [`accept`]: ReorderBuffers::accept
@@ -200,8 +201,11 @@ impl<M> PairState<M> {
 /// let (a, z) = (MhId(0), MhId(1));
 /// let s0 = b.next_seq(a, z);
 /// let s1 = b.next_seq(a, z);
-/// assert_eq!(b.accept(a, z, s1, "second"), Vec::<&str>::new()); // held back
-/// assert_eq!(b.accept(a, z, s0, "first"), vec!["first", "second"]);
+/// let mut out = Vec::new();
+/// b.accept(a, z, s1, "second", |m| out.push(m)); // held back
+/// assert!(out.is_empty());
+/// b.accept(a, z, s0, "first", |m| out.push(m));
+/// assert_eq!(out, ["first", "second"]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct ReorderBuffers<M> {
@@ -233,34 +237,42 @@ impl<M> ReorderBuffers<M> {
         s
     }
 
-    /// Accepts an arrival and returns every message now deliverable in send
-    /// order (empty if `seq` is ahead of the next expected message).
+    /// Accepts an arrival and passes every message now deliverable to
+    /// `deliver`, in send order (none if `seq` is ahead of the next expected
+    /// message).
     ///
     /// Duplicate or already-delivered sequence numbers are ignored.
-    pub fn accept(&mut self, src: MhId, dst: MhId, seq: u64, msg: M) -> Vec<M> {
+    pub fn accept(&mut self, src: MhId, dst: MhId, seq: u64, msg: M, mut deliver: impl FnMut(M)) {
         let st = self.rx.entry((src, dst)).or_default();
-        if seq < st.next_expected || st.held.contains_key(&seq) {
-            return Vec::new(); // duplicate
+        if seq == st.next_expected {
+            // An in-order arrival counts as momentarily held.
+            self.peak_held = self.peak_held.max(self.currently_held + 1);
+            st.next_expected += 1;
+            deliver(msg);
+            if !st.held.is_empty() || !st.cancelled.is_empty() {
+                self.currently_held -= st.drain(&mut deliver);
+            }
+            return;
         }
+        if seq < st.next_expected || st.held.contains_key(&seq) {
+            return; // duplicate
+        }
+        // Ahead of the next expected message: nothing becomes deliverable.
         st.held.insert(seq, msg);
         self.currently_held += 1;
         self.peak_held = self.peak_held.max(self.currently_held);
-        let (out, drained) = st.drain();
-        self.currently_held -= drained;
-        out
     }
 
     /// Marks `seq` as aborted by the transport (its message will never
-    /// arrive) and returns any successors that become deliverable.
-    pub fn cancel(&mut self, src: MhId, dst: MhId, seq: u64) -> Vec<M> {
+    /// arrive) and passes any successors that become deliverable to
+    /// `deliver`.
+    pub fn cancel(&mut self, src: MhId, dst: MhId, seq: u64, mut deliver: impl FnMut(M)) {
         let st = self.rx.entry((src, dst)).or_default();
         if seq < st.next_expected {
-            return Vec::new(); // already delivered or skipped
+            return; // already delivered or skipped
         }
         st.cancelled.insert(seq);
-        let (out, drained) = st.drain();
-        self.currently_held -= drained;
-        out
+        self.currently_held -= st.drain(&mut deliver);
     }
 
     /// Messages currently held back waiting for a predecessor.
@@ -287,6 +299,20 @@ impl<M> ReorderBuffers<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SimRng;
+    use std::collections::HashMap;
+
+    fn accept<M>(b: &mut ReorderBuffers<M>, src: MhId, dst: MhId, seq: u64, msg: M) -> Vec<M> {
+        let mut out = Vec::new();
+        b.accept(src, dst, seq, msg, |m| out.push(m));
+        out
+    }
+
+    fn cancel<M>(b: &mut ReorderBuffers<M>, src: MhId, dst: MhId, seq: u64) -> Vec<M> {
+        let mut out = Vec::new();
+        b.cancel(src, dst, seq, |m| out.push(m));
+        out
+    }
 
     #[test]
     fn fifo_chain_clamps_overtaking() {
@@ -344,13 +370,13 @@ mod tests {
         let (a, z) = (MhId(0), MhId(1));
         let s0 = b.next_seq(a, z);
         let s1 = b.next_seq(a, z);
-        assert!(b.accept(a, z, s1, 1).is_empty());
+        assert!(accept(&mut b, a, z, s1, 1).is_empty());
         b.clear();
         assert_eq!(b.held(), 0);
         assert_eq!(b.peak_held(), 0);
         // Sequence numbers restart, as on a fresh buffer.
         assert_eq!(b.next_seq(a, z), 0);
-        assert_eq!(b.accept(a, z, s0, 0), vec![0]);
+        assert_eq!(accept(&mut b, a, z, s0, 0), vec![0]);
     }
 
     #[test]
@@ -360,7 +386,7 @@ mod tests {
         for i in 0..5u64 {
             let s = b.next_seq(a, z);
             assert_eq!(s, i);
-            assert_eq!(b.accept(a, z, s, i as u32), vec![i as u32]);
+            assert_eq!(accept(&mut b, a, z, s, i as u32), vec![i as u32]);
         }
         assert_eq!(b.held(), 0);
         assert_eq!(b.peak_held(), 1);
@@ -371,11 +397,11 @@ mod tests {
         let mut b: ReorderBuffers<u32> = ReorderBuffers::default();
         let (a, z) = (MhId(2), MhId(3));
         let s: Vec<u64> = (0..4).map(|_| b.next_seq(a, z)).collect();
-        assert!(b.accept(a, z, s[2], 2).is_empty());
-        assert!(b.accept(a, z, s[1], 1).is_empty());
+        assert!(accept(&mut b, a, z, s[2], 2).is_empty());
+        assert!(accept(&mut b, a, z, s[1], 1).is_empty());
         assert_eq!(b.held(), 2);
-        assert_eq!(b.accept(a, z, s[0], 0), vec![0, 1, 2]);
-        assert_eq!(b.accept(a, z, s[3], 3), vec![3]);
+        assert_eq!(accept(&mut b, a, z, s[0], 0), vec![0, 1, 2]);
+        assert_eq!(accept(&mut b, a, z, s[3], 3), vec![3]);
         assert_eq!(b.held(), 0);
         assert!(b.peak_held() >= 2);
     }
@@ -385,8 +411,8 @@ mod tests {
         let mut b: ReorderBuffers<u32> = ReorderBuffers::default();
         let (a, z) = (MhId(0), MhId(1));
         let s0 = b.next_seq(a, z);
-        assert_eq!(b.accept(a, z, s0, 7), vec![7]);
-        assert!(b.accept(a, z, s0, 7).is_empty());
+        assert_eq!(accept(&mut b, a, z, s0, 7), vec![7]);
+        assert!(accept(&mut b, a, z, s0, 7).is_empty());
     }
 
     #[test]
@@ -397,7 +423,131 @@ mod tests {
         let s_za = b.next_seq(z, a);
         assert_eq!(s_az, 0);
         assert_eq!(s_za, 0);
-        assert_eq!(b.accept(z, a, s_za, 9), vec![9]);
-        assert_eq!(b.accept(a, z, s_az, 8), vec![8]);
+        assert_eq!(accept(&mut b, z, a, s_za, 9), vec![9]);
+        assert_eq!(accept(&mut b, a, z, s_az, 8), vec![8]);
+    }
+
+    /// Reference model without the in-order fast path: every arrival is
+    /// inserted into the held map, then drained out of it into a `Vec`.
+    #[derive(Default)]
+    struct Reference {
+        rx: HashMap<(MhId, MhId), RefPair>,
+        held: usize,
+        peak: usize,
+    }
+
+    #[derive(Default)]
+    struct RefPair {
+        next: u64,
+        held: BTreeMap<u64, u32>,
+        cancelled: BTreeSet<u64>,
+    }
+
+    impl RefPair {
+        fn drain(&mut self) -> Vec<u32> {
+            let mut out = Vec::new();
+            loop {
+                if let Some(m) = self.held.remove(&self.next) {
+                    self.next += 1;
+                    out.push(m);
+                } else if self.cancelled.remove(&self.next) {
+                    self.next += 1;
+                } else {
+                    return out;
+                }
+            }
+        }
+    }
+
+    impl Reference {
+        fn accept(&mut self, src: MhId, dst: MhId, seq: u64, msg: u32) -> Vec<u32> {
+            let st = self.rx.entry((src, dst)).or_default();
+            if seq < st.next || st.held.contains_key(&seq) {
+                return Vec::new();
+            }
+            st.held.insert(seq, msg);
+            self.held += 1;
+            self.peak = self.peak.max(self.held);
+            let out = st.drain();
+            self.held -= out.len();
+            out
+        }
+
+        fn cancel(&mut self, src: MhId, dst: MhId, seq: u64) -> Vec<u32> {
+            let st = self.rx.entry((src, dst)).or_default();
+            if seq < st.next {
+                return Vec::new();
+            }
+            st.cancelled.insert(seq);
+            let out = st.drain();
+            self.held -= out.len();
+            out
+        }
+    }
+
+    #[test]
+    fn reorder_matches_insert_then_drain_reference() {
+        let mhs = [MhId(0), MhId(1), MhId(2)];
+        let pairs: Vec<(MhId, MhId)> = mhs
+            .iter()
+            .flat_map(|&a| mhs.iter().filter(move |&&z| z != a).map(move |&z| (a, z)))
+            .collect();
+        for seed in 0..8 {
+            let mut rng = SimRng::seed_from(seed);
+            let mut b: ReorderBuffers<u32> = ReorderBuffers::default();
+            let mut r = Reference::default();
+            // Per pair: sequence numbers sent but not yet arrived or
+            // cancelled, and every sequence number sent so far.
+            let mut in_flight: Vec<Vec<u64>> = vec![Vec::new(); pairs.len()];
+            let mut sent: Vec<u64> = vec![0; pairs.len()];
+            for step in 0..4_000 {
+                let p = rng.below(pairs.len() as u64) as usize;
+                let (src, dst) = pairs[p];
+                let flight = &mut in_flight[p];
+                let msg = |seq: u64| (p as u32) << 20 | seq as u32;
+                let (got, want) = match rng.below(10) {
+                    0..=3 => {
+                        let seq = b.next_seq(src, dst);
+                        assert_eq!(seq, sent[p]);
+                        sent[p] += 1;
+                        flight.push(seq);
+                        continue;
+                    }
+                    // Arrival: mostly the oldest in flight (in order),
+                    // otherwise any of them (ahead of the next expected).
+                    4..=7 if !flight.is_empty() => {
+                        let k = if rng.chance(0.6) {
+                            0
+                        } else {
+                            rng.below(flight.len() as u64) as usize
+                        };
+                        let seq = flight.remove(k);
+                        (
+                            accept(&mut b, src, dst, seq, msg(seq)),
+                            r.accept(src, dst, seq, msg(seq)),
+                        )
+                    }
+                    8 if !flight.is_empty() => {
+                        let k = rng.below(flight.len() as u64) as usize;
+                        let seq = flight.remove(k);
+                        (cancel(&mut b, src, dst, seq), r.cancel(src, dst, seq))
+                    }
+                    // Duplicate of anything sent so far (arrived, cancelled
+                    // or still in flight).
+                    _ if sent[p] > 0 => {
+                        let seq = rng.below(sent[p]);
+                        (
+                            accept(&mut b, src, dst, seq, msg(seq)),
+                            r.accept(src, dst, seq, msg(seq)),
+                        )
+                    }
+                    _ => continue,
+                };
+                assert_eq!(got, want, "seed {seed} step {step}: delivered order");
+                assert_eq!(b.held(), r.held, "seed {seed} step {step}: held");
+                assert_eq!(b.peak_held(), r.peak, "seed {seed} step {step}: peak");
+            }
+            assert!(r.peak >= 2, "seed {seed}: traffic never ran out of order");
+        }
     }
 }

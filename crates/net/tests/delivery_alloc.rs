@@ -6,9 +6,9 @@
 //! windows must allocate **nothing**. A counting global allocator pins
 //! that: the whole-run allocation count of a quick E12-ladder point must
 //! not change when the horizon doubles (every allocation happens during
-//! construction and warm-up, none per processed window), and a
-//! steady-state broadcast storm on the single-kernel path must allocate
-//! zero once warm.
+//! construction and warm-up, none per processed window), a steady-state
+//! broadcast storm on the single-kernel path must allocate zero once warm,
+//! and so must in-order MH→MH relay traffic through the reorder buffers.
 
 use mobidist_net::prelude::*;
 use mobidist_net::shard::run_scale_with_mode;
@@ -154,5 +154,60 @@ fn e12_ladder_point_allocations_are_horizon_invariant() {
         extended, base,
         "extending the horizon past warm-up changed the allocation count \
          ({base} -> {extended}): some per-window path still allocates"
+    );
+}
+
+/// MH pairs `(2i, 2i + 1)` bounce one message back and forth forever over
+/// the MH→MH transport (uplink, search, downlink, reorder buffer). Hosts
+/// never move, so every arrival is the next one its pair expects.
+#[derive(Debug, Default)]
+struct Relay {
+    arrivals: u64,
+}
+
+impl Protocol for Relay {
+    type Msg = u32;
+    type Timer = ();
+
+    fn on_start(&mut self, ctx: &mut Ctx<'_, u32, ()>) {
+        for i in (0..ctx.num_mh() as u32).step_by(2) {
+            ctx.mh_send_to_mh(MhId(i), MhId(i + 1), 0)
+                .expect("static hosts are connected");
+        }
+    }
+
+    fn on_mss_msg(&mut self, _: &mut Ctx<'_, u32, ()>, _: MssId, _: Src, _: u32) {}
+
+    fn on_mh_msg(&mut self, ctx: &mut Ctx<'_, u32, ()>, at: MhId, src: Src, msg: u32) {
+        self.arrivals += 1;
+        let from = src.as_mh().expect("relay peers are MHs");
+        ctx.mh_send_to_mh(at, from, msg + 1)
+            .expect("static hosts are connected");
+    }
+}
+
+#[test]
+fn steady_state_in_order_mh_relay_allocates_nothing() {
+    let _guard = counter_guard();
+    let cfg = NetworkConfig::new(4, 16).with_seed(9);
+    let mut sim = Simulation::new(cfg, Relay::default());
+    // Warm-up past one level-1 wheel wrap, as in the broadcast storm above;
+    // each pair's reorder state is created by its first message.
+    sim.run_until(SimTime::from_ticks(70_000));
+    let warm_arrivals = sim.protocol().arrivals;
+    assert!(warm_arrivals > 1_000, "relay failed to sustain itself");
+
+    let (allocs, _) = allocations_during(|| sim.run_until(SimTime::from_ticks(200_000)));
+    let processed = sim.protocol().arrivals - warm_arrivals;
+    assert!(processed > 4_000, "relay died after warm-up");
+    assert_eq!(
+        sim.kernel().reorder_peak(),
+        1,
+        "no arrival was out of order"
+    );
+    assert_eq!(
+        allocs, 0,
+        "in-order MH→MH delivery must be allocation-free, got {allocs} \
+         allocations over {processed} deliveries"
     );
 }
