@@ -242,39 +242,41 @@ pub fn e6_locality(quick: bool) -> Table {
     } else {
         &[0.0, 0.5, 0.8, 0.95]
     };
-    let mut pools = StrategyPools::new();
-    for &p_local in ps {
-        let cfg = NetworkConfig::new(m, g)
-            .with_seed(60)
-            .with_placement(Placement::Clustered { cells: 3 })
-            .with_mobility(MobilityConfig {
-                enabled: true,
-                mean_dwell: 400,
-                mean_gap: 10,
-                pattern: MovePattern::Locality {
-                    p_local,
-                    home_span: 3,
-                },
-            });
-        let msgs = if quick { 8 } else { 25 };
-        let wl = GroupWorkload::new(members.clone(), msgs, 300);
-        let run = run_strategy_in(
-            &mut pools,
-            cfg,
-            "location-view",
-            members.clone(),
-            wl,
-            1_000_000,
-        );
-        let (lv_max, f) = run.lv.expect("LV stats");
-        t.push(vec![
-            f2(p_local),
-            lv_max.to_string(),
-            g.to_string(),
-            f2(f),
-            f2(run.cost_per_message()),
-            pct(run.report.delivery_ratio()),
-        ]);
+    // One task per locality level, each on its worker's pools; rows are
+    // assembled by index, so the table is the same at any `--jobs`.
+    let rows = map_indexed_with(
+        ps.to_vec(),
+        default_jobs(),
+        StrategyPools::new,
+        |pools, _, p_local| {
+            let cfg = NetworkConfig::new(m, g)
+                .with_seed(60)
+                .with_placement(Placement::Clustered { cells: 3 })
+                .with_mobility(MobilityConfig {
+                    enabled: true,
+                    mean_dwell: 400,
+                    mean_gap: 10,
+                    pattern: MovePattern::Locality {
+                        p_local,
+                        home_span: 3,
+                    },
+                });
+            let msgs = if quick { 8 } else { 25 };
+            let wl = GroupWorkload::new(members.clone(), msgs, 300);
+            let run = run_strategy_in(pools, cfg, "location-view", members.clone(), wl, 1_000_000);
+            let (lv_max, f) = run.lv.expect("LV stats");
+            vec![
+                f2(p_local),
+                lv_max.to_string(),
+                g.to_string(),
+                f2(f),
+                f2(run.cost_per_message()),
+                pct(run.report.delivery_ratio()),
+            ]
+        },
+    );
+    for row in rows {
+        t.push(row);
     }
     t
 }

@@ -1,5 +1,6 @@
 //! Experiment E10: the proxy framework's mobility price (Section 5).
 
+use crate::parallel::{default_jobs, map_indexed_with};
 use crate::table::{f2, Table};
 use mobidist_net::ledger::CostLedger;
 use mobidist_net::prelude::*;
@@ -28,12 +29,24 @@ pub fn e10_proxy(quick: bool) -> Table {
     } else {
         &[4_000, 1_000, 400, 150]
     };
-    for &dwell in dwells {
-        for policy in [
-            ProxyPolicy::Fixed,
-            ProxyPolicy::LocalMss,
-            ProxyPolicy::Adaptive { radius: 2 },
-        ] {
+    let cells: Vec<(u64, ProxyPolicy)> = dwells
+        .iter()
+        .flat_map(|&dwell| {
+            [
+                ProxyPolicy::Fixed,
+                ProxyPolicy::LocalMss,
+                ProxyPolicy::Adaptive { radius: 2 },
+            ]
+            .map(|policy| (dwell, policy))
+        })
+        .collect();
+    // One task per (dwell, policy) cell, each worker recycling one proxy
+    // simulation; rows are assembled by index.
+    let rows = map_indexed_with(
+        cells,
+        default_jobs(),
+        SimPool::<ProxyRuntime<CentralCounter>>::new,
+        |pool, _, (dwell, policy)| {
             let cfg = NetworkConfig::new(m, n)
                 .with_seed(70)
                 .with_mobility(MobilityConfig::moving(dwell));
@@ -62,26 +75,25 @@ pub fn e10_proxy(quick: bool) -> Table {
                 |out: &(CostLedger, (u64, u64, u64, u64, u64))| &out.0,
                 || {
                     let clients: Vec<MhId> = (0..n as u32).map(MhId).collect();
-                    let mut sim = Simulation::new(
-                        cfg.clone(),
-                        ProxyRuntime::new(CentralCounter::new(), clients, policy, wl),
-                    );
-                    sim.run_until(SimTime::from_ticks(horizon));
-                    let r = sim.protocol().report();
-                    (
-                        sim.ledger().clone(),
+                    let proxy = ProxyRuntime::new(CentralCounter::new(), clients, policy, wl);
+                    pool.run(cfg.clone(), proxy, |sim| {
+                        sim.run_until(SimTime::from_ticks(horizon));
+                        let r = sim.protocol().report();
                         (
-                            r.loc_updates,
-                            r.handoffs,
-                            r.stale_outputs,
-                            r.outputs_delivered,
-                            r.inputs_sent,
-                        ),
-                    )
+                            sim.ledger().clone(),
+                            (
+                                r.loc_updates,
+                                r.handoffs,
+                                r.stale_outputs,
+                                r.outputs_delivered,
+                                r.inputs_sent,
+                            ),
+                        )
+                    })
                 },
             );
             let cost = ledger.total_cost() as f64 / served.max(1) as f64;
-            t.push(vec![
+            vec![
                 dwell.to_string(),
                 format!("{policy:?}"),
                 ledger.moves.to_string(),
@@ -90,8 +102,11 @@ pub fn e10_proxy(quick: bool) -> Table {
                 stale.to_string(),
                 format!("{}/{}", served, inputs),
                 f2(cost),
-            ]);
-        }
+            ]
+        },
+    );
+    for row in rows {
+        t.push(row);
     }
     t
 }

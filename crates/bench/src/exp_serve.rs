@@ -44,11 +44,11 @@ pub type L2cPool = SimPool<MutexHarness<L2c>>;
 /// worker recycles its simulations across the cells it processes.
 #[derive(Debug, Default)]
 pub struct ServePools {
-    l1: crate::exp_mutex::L1Pool,
-    l2: crate::exp_mutex::L2Pool,
+    pub(crate) l1: crate::exp_mutex::L1Pool,
+    pub(crate) l2: crate::exp_mutex::L2Pool,
     l2c: L2cPool,
-    r1: crate::exp_mutex::R1Pool,
-    r2: crate::exp_mutex::R2Pool,
+    pub(crate) r1: crate::exp_mutex::R1Pool,
+    pub(crate) r2: crate::exp_mutex::R2Pool,
 }
 
 impl ServePools {

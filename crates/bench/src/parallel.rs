@@ -10,11 +10,12 @@
 //!
 //! No external crates: work distribution is a mutex-guarded deque drained in
 //! small adaptive chunks (up to 4 items per lock acquisition while the queue
-//! is long, one-at-a-time near the tail for load balance) and results travel
-//! over `std::sync::mpsc`.
+//! is long, one-at-a-time near the tail for load balance). The calling
+//! thread is one of the workers, so `jobs` workers cost `jobs − 1` spawns;
+//! each worker keeps its `(index, result)` pairs in a local vector, and the
+//! vectors are merged by index when the workers join.
 
 use std::collections::VecDeque;
-use std::sync::mpsc;
 use std::sync::Mutex;
 
 /// Worker count to use: `MOBIDIST_JOBS` when set (clamped to ≥ 1),
@@ -46,8 +47,9 @@ pub fn oversubscribed(jobs: usize) -> bool {
 ///
 /// Ordering guarantee: the output vector at position `i` holds
 /// `f(i, items[i])` exactly as the sequential loop would produce it; thread
-/// scheduling can never reorder, duplicate or drop a slot. A panic in any
-/// worker propagates once the scope joins.
+/// scheduling can never reorder, duplicate or drop a slot. A panicking item
+/// propagates its own panic to the caller once every worker has stopped,
+/// whether the calling thread or a spawned one ran it.
 ///
 /// # Examples
 ///
@@ -66,11 +68,12 @@ where
 
 /// [`map_indexed`] with per-worker scratch state.
 ///
-/// Each worker thread (and the sequential fallback) builds one `W` with
-/// `make_state` and threads it through every item it processes. Sweeps pass a
-/// [`SimPool`](mobidist_net::prelude::SimPool) here so consecutive points on
-/// the same worker recycle one simulation's allocations instead of
-/// rebuilding them.
+/// Each worker (the calling thread among them, and the sequential fallback)
+/// builds one `W` with `make_state` and threads it through every item it
+/// processes, so `make_state` runs `min(jobs, items.len())` times. Sweeps
+/// pass a [`SimPool`](mobidist_net::prelude::SimPool) here so consecutive
+/// points on the same worker recycle one simulation's allocations instead
+/// of rebuilding them.
 ///
 /// The ordering guarantee of [`map_indexed`] is unchanged, and `W` must not
 /// influence results (a pool doesn't: a reset simulation replays
@@ -105,13 +108,16 @@ where
     T: Send,
 {
     let n = items.len();
-    let mut jobs = jobs.max(1).min(n.max(1));
+    let mut jobs = jobs.clamp(1, n.max(1));
     if oversubscribed(jobs) {
         // Spawning threads a 1-CPU machine must time-slice only adds
         // overhead; the sequential path produces the same bytes.
         jobs = 1;
     }
-    if jobs == 1 || n <= 1 {
+    if n == 0 {
+        return Vec::new();
+    }
+    if jobs == 1 {
         // Sequential fallback: the reference path parallel runs must match.
         let mut w = make_state();
         return items
@@ -121,55 +127,57 @@ where
             .collect();
     }
     let queue: Mutex<VecDeque<(usize, I)>> = Mutex::new(items.into_iter().enumerate().collect());
-    let (tx, rx) = mpsc::channel::<(usize, T)>();
-    std::thread::scope(|s| {
-        for _ in 0..jobs {
-            let tx = tx.clone();
-            let queue = &queue;
-            let f = &f;
-            let make_state = &make_state;
-            s.spawn(move || {
-                let mut w = make_state();
-                // Pop work in small adaptive chunks: one lock acquisition
-                // per chunk instead of per item cuts queue overhead on
-                // fast items, while the `q.len() / (jobs * 2)` bound keeps
-                // the tail balanced — near the end of the queue workers
-                // fall back to one-at-a-time. Results still carry their
-                // input index, so the ordering guarantee is untouched.
-                let mut batch = Vec::with_capacity(4);
-                'work: loop {
-                    {
-                        let mut q = queue.lock().expect("work queue poisoned");
-                        if q.is_empty() {
-                            break;
-                        }
-                        let take = (q.len() / (jobs * 2)).clamp(1, 4);
-                        batch.extend(q.drain(..take));
-                    }
-                    for (i, x) in batch.drain(..) {
-                        if tx.send((i, f(&mut w, i, x))).is_err() {
-                            break 'work;
-                        }
-                    }
+    let worker = || {
+        let mut w = make_state();
+        let mut done = Vec::new();
+        // Pop work in small adaptive chunks: one lock acquisition per chunk
+        // instead of per item cuts queue overhead on fast items, while the
+        // `q.len() / (jobs * 2)` bound keeps the tail balanced — near the
+        // end of the queue workers fall back to one-at-a-time. Results carry
+        // their input index, so the ordering guarantee is untouched.
+        let mut batch = Vec::with_capacity(4);
+        loop {
+            {
+                let mut q = queue.lock().expect("work queue poisoned");
+                if q.is_empty() {
+                    return done;
                 }
-            });
+                let take = (q.len() / (jobs * 2)).clamp(1, 4);
+                batch.extend(q.drain(..take));
+            }
+            for (i, x) in batch.drain(..) {
+                done.push((i, f(&mut w, i, x)));
+            }
         }
-        drop(tx);
-        let mut out: Vec<Option<T>> = std::iter::repeat_with(|| None).take(n).collect();
-        for (i, r) in rx {
+    };
+    let mut out: Vec<Option<T>> = std::iter::repeat_with(|| None).take(n).collect();
+    let mut place = |done: Vec<(usize, T)>| {
+        for (i, r) in done {
             debug_assert!(out[i].is_none(), "index {i} produced twice");
             out[i] = Some(r);
         }
-        out.into_iter()
-            .map(|o| o.expect("every index produced exactly once"))
-            .collect()
-    })
+    };
+    std::thread::scope(|s| {
+        let spawned: Vec<_> = (1..jobs).map(|_| s.spawn(worker)).collect();
+        // A panic here unwinds through the scope, which joins the spawned
+        // workers first; theirs are joined by hand and re-raised as is.
+        place(worker());
+        for h in spawned {
+            match h.join() {
+                Ok(done) => place(done),
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
+        }
+    });
+    out.into_iter()
+        .map(|o| o.expect("every index produced exactly once"))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     #[test]
     fn results_are_in_input_order() {
@@ -208,6 +216,9 @@ mod tests {
         let empty: Vec<u8> = map_indexed(Vec::new(), 8, |_, x: u8| x);
         assert!(empty.is_empty());
         assert_eq!(map_indexed(vec![9], 8, |_, x| x + 1), vec![10]);
+        // More workers than items.
+        let out = map_indexed(vec![5u8, 6, 7], 16, |i, x| (i, x));
+        assert_eq!(out, vec![(0, 5), (1, 6), (2, 7)]);
     }
 
     #[test]
@@ -242,6 +253,85 @@ mod tests {
         // most 4 runs of 1..=k.
         assert_eq!(par.len(), 100);
         assert!(par.iter().all(|&v| (1..=100).contains(&v)));
+    }
+
+    /// Workers a call with `jobs` workers over `n` items runs.
+    fn workers(jobs: usize, n: usize) -> usize {
+        if oversubscribed(jobs.min(n)) {
+            1
+        } else {
+            jobs.min(n)
+        }
+    }
+
+    #[test]
+    fn make_state_runs_once_per_worker() {
+        for (jobs, n) in [(1, 5), (2, 5), (4, 3), (3, 64), (8, 1), (4, 0)] {
+            let states = AtomicUsize::new(0);
+            let out = map_indexed_with(
+                (0..n as u64).collect(),
+                jobs,
+                || states.fetch_add(1, Ordering::Relaxed),
+                |_, _, x| x,
+            );
+            assert_eq!(out, (0..n as u64).collect::<Vec<_>>());
+            assert_eq!(
+                states.load(Ordering::Relaxed),
+                workers(jobs, n),
+                "jobs {jobs}, n {n}"
+            );
+        }
+    }
+
+    /// Runs a 2-worker map whose items panic on the calling thread (or on
+    /// the spawned one) and returns the propagated payload and the number
+    /// of items that panicked.
+    fn panic_on_caller(on_caller: bool) -> (String, usize) {
+        let caller = std::thread::current().id();
+        let panicked = AtomicUsize::new(0);
+        let spawned_ran = AtomicBool::new(false);
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            map_indexed((0..64u64).collect(), 2, |_, x| {
+                let here = std::thread::current().id() == caller;
+                if !here {
+                    spawned_ran.store(true, Ordering::SeqCst);
+                }
+                if here == on_caller {
+                    panicked.fetch_add(1, Ordering::Relaxed);
+                    panic!("item {x} failed");
+                }
+                // The caller waits until the spawned worker has taken an
+                // item, so both workers run one.
+                while here && !spawned_ran.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+                x
+            })
+        }));
+        let payload = r.expect_err("the item's panic reaches the caller");
+        let msg = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .expect("the item's own payload, not a wrapper");
+        (msg, panicked.load(Ordering::Relaxed))
+    }
+
+    #[test]
+    fn a_panicking_item_propagates_once_from_any_worker() {
+        let (msg, n) = panic_on_caller(true);
+        assert!(
+            msg.starts_with("item ") && msg.ends_with(" failed"),
+            "{msg}"
+        );
+        assert_eq!(n, 1);
+        if !oversubscribed(2) {
+            let (msg, n) = panic_on_caller(false);
+            assert!(
+                msg.starts_with("item ") && msg.ends_with(" failed"),
+                "{msg}"
+            );
+            assert_eq!(n, 1);
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! input order. These tests pin both halves: identical seeds yield identical
 //! execution traces, and worker count never changes a rendered table.
 
-use mobidist_bench::{exp_fault, exp_group, exp_mutex, exp_serve};
+use mobidist_bench::{exp_fault, exp_group, exp_mutex, exp_proxy, exp_serve};
 use mobidist_core::prelude::*;
 use mobidist_net::prelude::*;
 use mobidist_net::time::SimTime;
@@ -50,42 +50,26 @@ fn tables_are_byte_identical_at_any_worker_count() {
     // this single test; no other test in this binary reads the variable.
     let render = |jobs: &str| {
         std::env::set_var("MOBIDIST_JOBS", jobs);
-        let e1 = exp_mutex::e1_lamport(true);
-        let e5 = exp_group::e5_group_strategies(true);
-        let e13 = exp_serve::e13_serving(true);
-        let e14 = exp_fault::e14_fault(true);
+        let tables = [
+            ("E1", exp_mutex::e1_lamport(true)),
+            ("E5", exp_group::e5_group_strategies(true)),
+            ("E6", exp_group::e6_locality(true)),
+            ("E7", exp_mutex::e7_disconnection(true)),
+            ("E9", exp_mutex::e9_fairness(true)),
+            ("E10", exp_proxy::e10_proxy(true)),
+            ("E13", exp_serve::e13_serving(true)),
+            ("E14", exp_fault::e14_fault(true)),
+        ];
         std::env::remove_var("MOBIDIST_JOBS");
-        (
-            e1.to_string(),
-            e1.to_csv(),
-            e5.to_string(),
-            e5.to_csv(),
-            e13.to_string(),
-            e13.to_csv(),
-            e14.to_string(),
-            e14.to_csv(),
-        )
+        tables.map(|(id, t)| (id, t.to_string(), t.to_csv()))
     };
     let seq = render("1");
     let par = render("4");
-    assert_eq!(
-        seq.0, par.0,
-        "E1 table text differs between jobs=1 and jobs=4"
-    );
-    assert_eq!(seq.1, par.1, "E1 CSV differs between jobs=1 and jobs=4");
-    assert_eq!(
-        seq.2, par.2,
-        "E5 table text differs between jobs=1 and jobs=4"
-    );
-    assert_eq!(seq.3, par.3, "E5 CSV differs between jobs=1 and jobs=4");
-    assert_eq!(
-        seq.4, par.4,
-        "E13 table text differs between jobs=1 and jobs=4"
-    );
-    assert_eq!(seq.5, par.5, "E13 CSV differs between jobs=1 and jobs=4");
-    assert_eq!(
-        seq.6, par.6,
-        "E14 table text differs between jobs=1 and jobs=4"
-    );
-    assert_eq!(seq.7, par.7, "E14 CSV differs between jobs=1 and jobs=4");
+    for ((id, text, csv), (_, par_text, par_csv)) in seq.iter().zip(&par) {
+        assert_eq!(
+            text, par_text,
+            "{id} table text differs between jobs=1 and jobs=4"
+        );
+        assert_eq!(csv, par_csv, "{id} CSV differs between jobs=1 and jobs=4");
+    }
 }

@@ -19,14 +19,26 @@
 //! counter of peers already heard from "later" than the own request turns
 //! the grant condition into one comparison.
 //!
-//! Grant keys pack a timestamp as `counter << 16 | process`, so participant
-//! ids must be below 2¹⁶ ([`L1::new`] checks this).
+//! Timestamps are stored as packed keys, `counter << 16 | process` in a
+//! `u64` with 0 meaning none: the rows, the request queue and the grant key
+//! all use the same word. A clock's process is its MH's id, which
+//! [`L1::new`] checks is below 2¹⁶, so key order is exactly
+//! `(Timestamp, MhId)` order.
 
 use crate::algorithm::{AlgoCtx, MutexAlgorithm};
 use mobidist_clock::{LamportClock, Timestamp};
 use mobidist_net::ids::{MhId, MssId};
 use mobidist_net::proto::Src;
 use std::collections::BTreeSet;
+
+/// Packs `ts` into its key: counter above, process in the low 16 bits.
+/// Every key is nonzero, because a clock's counter is at least 1 once it
+/// has stamped anything.
+fn key(ts: Timestamp) -> u64 {
+    debug_assert!(ts.counter < 1 << 48, "L1 clock counter overflows its key");
+    debug_assert!(ts.process < 1 << 16);
+    ts.counter << 16 | u64::from(ts.process)
+}
 
 /// L1 protocol messages (all MH→MH).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,46 +60,45 @@ impl L1Msg {
 }
 
 /// Per-participant replicated state (lives *on the MH*, which is exactly the
-/// paper's objection). The two rows are indexed by peer position and stay
-/// empty until the participant first hears from a peer.
+/// paper's objection). Timestamps are packed [`key`]s, 0 meaning none. The
+/// two rows are indexed by peer position and stay empty until the
+/// participant first hears from a peer.
 #[derive(Debug)]
 struct Participant {
     clock: LamportClock,
     /// The replicated request queue: totally ordered by timestamp.
-    queue: BTreeSet<(Timestamp, MhId)>,
+    queue: BTreeSet<u64>,
     /// Largest timestamp seen from each peer.
-    last_seen: Vec<Option<Timestamp>>,
+    last_seen: Vec<u64>,
     /// Each peer's queued request, so a `Release` removes it without a scan.
-    queued: Vec<Option<Timestamp>>,
+    queued: Vec<u64>,
     /// Queue entries `queued` does not point at. A `Release` the transport
     /// cancelled (this MH was disconnected) leaves the peer's old request
     /// behind its next one; the peer's next `Release` removes both.
     stale: usize,
-    /// Own outstanding request, if any.
-    own: Option<Timestamp>,
+    /// Own outstanding request.
+    own: u64,
     /// Peers whose `last_seen` exceeds `own`.
     later: usize,
     granted: bool,
 }
 
 impl Participant {
-    /// Records a message from the peer at position `from` and keeps
-    /// `later` current.
-    fn note_seen(&mut self, peers: usize, from: usize, ts: Timestamp) {
+    /// Records a message stamped `ts` from the peer at position `from` and
+    /// keeps `later` current.
+    fn note_seen(&mut self, peers: usize, from: usize, ts: u64) {
         if self.last_seen.is_empty() {
-            self.last_seen = vec![None; peers];
-            self.queued = vec![None; peers];
+            self.last_seen = vec![0; peers];
+            self.queued = vec![0; peers];
         }
         let seen = &mut self.last_seen[from];
-        if seen.is_some_and(|s| s >= ts) {
+        if *seen >= ts {
             return;
         }
-        if let Some(own) = self.own {
-            if ts > own && seen.is_none_or(|s| s <= own) {
-                self.later += 1;
-            }
+        if self.own != 0 && ts > self.own && *seen <= self.own {
+            self.later += 1;
         }
-        *seen = Some(ts);
+        *seen = ts;
     }
 }
 
@@ -131,7 +142,7 @@ impl L1 {
                 last_seen: Vec::new(),
                 queued: Vec::new(),
                 stale: 0,
-                own: None,
+                own: 0,
                 later: 0,
                 granted: false,
             })
@@ -173,15 +184,14 @@ impl L1 {
     fn try_grant(&mut self, ctx: &mut AlgoCtx<'_, '_, L1Msg, ()>, me: usize) {
         let mh = self.participants[me];
         let p = &mut self.state[me];
-        let Some(own_ts) = p.own else { return };
-        if p.granted || p.later + 1 != self.participants.len() {
+        if p.own == 0 || p.granted || p.later + 1 != self.participants.len() {
             return;
         }
-        if p.queue.first() != Some(&(own_ts, mh)) {
+        if p.queue.first() != Some(&p.own) {
             return;
         }
         p.granted = true;
-        ctx.grant_with_key(mh, own_ts.counter << 16 | u64::from(own_ts.process));
+        ctx.grant_with_key(mh, p.own);
     }
 }
 
@@ -196,16 +206,13 @@ impl MutexAlgorithm for L1 {
     fn request(&mut self, ctx: &mut AlgoCtx<'_, '_, L1Msg, ()>, mh: MhId) {
         let me = self.position(mh);
         let p = &mut self.state[me];
-        debug_assert!(p.own.is_none(), "one outstanding request per MH");
+        debug_assert!(p.own == 0, "one outstanding request per MH");
         let ts = p.clock.tick();
-        p.own = Some(ts);
+        let own = key(ts);
+        p.own = own;
         p.granted = false;
-        p.queue.insert((ts, mh));
-        p.later = p
-            .last_seen
-            .iter()
-            .filter(|s| s.is_some_and(|s| s > ts))
-            .count();
+        p.queue.insert(own);
+        p.later = p.last_seen.iter().filter(|&&s| s > own).count();
         self.broadcast(ctx, me, L1Msg::Request(ts));
         self.try_grant(ctx, me);
     }
@@ -213,9 +220,12 @@ impl MutexAlgorithm for L1 {
     fn release(&mut self, ctx: &mut AlgoCtx<'_, '_, L1Msg, ()>, mh: MhId) {
         let me = self.position(mh);
         let p = &mut self.state[me];
-        let Some(own_ts) = p.own.take() else { return };
+        let own = std::mem::take(&mut p.own);
+        if own == 0 {
+            return;
+        }
         p.granted = false;
-        p.queue.remove(&(own_ts, mh));
+        p.queue.remove(&own);
         let ts = p.clock.tick();
         self.broadcast(ctx, me, L1Msg::Release(ts));
     }
@@ -230,12 +240,17 @@ impl MutexAlgorithm for L1 {
         let peers = self.participants.len();
         let p = &mut self.state[me];
         let ts = msg.timestamp();
-        p.note_seen(peers, f, ts);
+        p.note_seen(peers, f, key(ts));
         p.clock.witness(ts);
         match msg {
             L1Msg::Request(req_ts) => {
-                p.queue.insert((req_ts, from));
-                if p.queued[f].replace(req_ts).is_some() {
+                debug_assert_eq!(
+                    req_ts.process, from.0,
+                    "a request carries its sender's clock"
+                );
+                let req = key(req_ts);
+                p.queue.insert(req);
+                if std::mem::replace(&mut p.queued[f], req) != 0 {
                     p.stale += 1;
                 }
                 let reply_ts = p.clock.tick();
@@ -244,11 +259,12 @@ impl MutexAlgorithm for L1 {
             L1Msg::Reply(_) => {}
             L1Msg::Release(_) => {
                 // Remove the releaser's queued request(s).
-                if let Some(req_ts) = p.queued[f].take() {
-                    p.queue.remove(&(req_ts, from));
+                let req = std::mem::take(&mut p.queued[f]);
+                if req != 0 {
+                    p.queue.remove(&req);
                     if p.stale > 0 {
                         let before = p.queue.len();
-                        p.queue.retain(|&(_, who)| who != from);
+                        p.queue.retain(|&k| k & 0xffff != u64::from(from.0));
                         p.stale -= before - p.queue.len();
                     }
                 }
@@ -288,6 +304,21 @@ mod tests {
     #[should_panic(expected = "distinct")]
     fn duplicate_participants_rejected() {
         let _ = L1::new(vec![MhId(3), MhId(3)]);
+    }
+
+    #[test]
+    fn key_order_is_timestamp_order() {
+        let ts = [
+            Timestamp::new(1, 0),
+            Timestamp::new(1, 9),
+            Timestamp::new(2, 0),
+            Timestamp::new(2, 65_535),
+            Timestamp::new(3, 1),
+        ];
+        for w in ts.windows(2) {
+            assert!(key(w[0]) < key(w[1]), "{} vs {}", w[0], w[1]);
+        }
+        assert!(ts.iter().all(|&t| key(t) != 0), "0 means none");
     }
 
     #[test]

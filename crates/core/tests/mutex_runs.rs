@@ -229,6 +229,69 @@ fn l1_golden_run_under_mobility_and_disconnection() {
     assert!(peak >= 2, "the out-of-order path must be exercised");
 }
 
+/// L1 at the scale of E13's N=256 requester-count cell (M=8, seed 1361,
+/// think 1000, hold 10, 2 requests per MH). 65,280 MH pairs exchange
+/// traffic, so this pins the reorder buffers and L1's queue keys at the
+/// size where their layout matters: the full ledger, the event count, a
+/// digest of every episode, and the reorder peak. Release only: the
+/// debug build would take minutes.
+#[test]
+#[cfg_attr(debug_assertions, ignore)]
+fn l1_golden_run_at_e13_scale() {
+    let n = 256;
+    let wl = WorkloadConfig::all_mhs(n, 2)
+        .with_think(1_000)
+        .with_hold(10);
+    let algo = L1::new(wl.requesters.clone());
+    let mut sim = Simulation::new(net(8, n, 1361), MutexHarness::new(algo, wl));
+    sim.run_until(SimTime::from_ticks(500_000_000));
+    assert!(sim.protocol().report().is_clean_and_live());
+
+    let mut h = mobidist_net::fingerprint::CanonHasher::new();
+    let episodes = sim.protocol().checker().episodes();
+    for e in episodes {
+        h.write_u64(u64::from(e.mh.0));
+        h.write_u64(e.requested_at.ticks());
+        h.write_u64(e.granted_at.ticks());
+        h.write_u64(e.released_at.expect("every episode released").ticks());
+        h.write_u64(e.key.expect("L1 grants are keyed"));
+    }
+    let digest = h.finish();
+    assert_eq!(episodes.len(), 512);
+    assert_eq!(
+        (digest.hi, digest.lo),
+        (0x755b_bac6_f2ca_4445, 0x600b_8651_bde5_5369)
+    );
+    assert_eq!(sim.kernel().events_processed(), 1_176_064);
+
+    // Static hosts and no faults: every message is a first-try search,
+    // and each MH sends and receives 3·(N−1) messages per request.
+    let ledger = CostLedger {
+        fixed_msgs: 0,
+        wireless_msgs: 783_360,
+        searches: 391_680,
+        re_searches: 0,
+        search_failures: 0,
+        fixed_cost: 0,
+        wireless_cost: 7_833_600,
+        search_cost: 1_958_400,
+        mh_tx: vec![1530; n],
+        mh_rx: vec![1530; n],
+        mh_energy: vec![3060; n],
+        doze_interruptions: 0,
+        moves: 0,
+        handoffs: 0,
+        disconnects: 0,
+        reconnects: 0,
+        wireless_losses: 0,
+        custom: Default::default(),
+    };
+    assert_eq!(sim.ledger(), &ledger);
+
+    // Without moves every pair's traffic arrives in send order.
+    assert_eq!(sim.kernel().reorder_peak(), 1);
+}
+
 #[test]
 fn l1_cancelled_release_leaves_no_stale_request_behind() {
     // mh1 disconnects while mh0 holds the CS, so mh0's Release to mh1 is

@@ -138,43 +138,72 @@ impl FifoChains {
     }
 }
 
-/// Per-(source MH, destination MH) sequencing state.
+/// Both ends' sequencing state for one (source MH, destination MH) pair:
+/// the sender's counter and the receiver's next expected number share one
+/// 16-byte map entry, so an in-order message touches one entry at each end.
+#[derive(Debug, Clone, Copy, Default)]
+struct Pair {
+    /// Next sequence number the source assigns.
+    next_tx: u64,
+    /// Next sequence number the destination releases, with [`PARKED`] set
+    /// while the pair has an entry in the side map of parked state.
+    next_rx: u64,
+}
+
+/// Marker bit on [`Pair::next_rx`]. Sequence numbers stay below it, so an
+/// arrival equal to `next_rx` is both in order and on a pair with nothing
+/// parked: the fast path is one comparison.
+const PARKED: u64 = 1 << 63;
+
+impl Pair {
+    fn expected(&self) -> u64 {
+        self.next_rx & !PARKED
+    }
+}
+
+/// What a pair holds back: arrivals ahead of its next expected message, and
+/// sequence numbers the transport aborted (e.g. the destination was
+/// disconnected), which are skipped rather than waited for.
 #[derive(Debug, Clone)]
-struct PairState<M> {
-    next_expected: u64,
+struct Parked<M> {
     held: BTreeMap<u64, M>,
-    /// Sequence numbers the transport aborted (e.g. the destination was
-    /// disconnected); skipped rather than waited for.
     cancelled: BTreeSet<u64>,
 }
 
-impl<M> Default for PairState<M> {
+impl<M> Default for Parked<M> {
     fn default() -> Self {
-        PairState {
-            next_expected: 0,
+        Parked {
             held: BTreeMap::new(),
             cancelled: BTreeSet::new(),
         }
     }
 }
 
-impl<M> PairState<M> {
+impl<M> Parked<M> {
     /// Releases every in-order held message to `deliver`, skipping
-    /// cancelled slots. Returns how many held entries were drained.
-    fn drain(&mut self, deliver: &mut impl FnMut(M)) -> usize {
+    /// cancelled slots and advancing `next_rx` past both. Returns how many
+    /// held entries were drained.
+    fn drain(&mut self, next_rx: &mut u64, deliver: &mut impl FnMut(M)) -> usize {
         let mut drained = 0;
         loop {
-            if let Some(m) = self.held.remove(&self.next_expected) {
-                self.next_expected += 1;
+            let next = *next_rx & !PARKED;
+            if let Some(m) = self.held.remove(&next) {
+                // A cancelled message that arrived after all is released,
+                // and its cancellation must not outlive it.
+                self.cancelled.remove(&next);
+                *next_rx += 1;
                 drained += 1;
                 deliver(m);
-            } else if self.cancelled.remove(&self.next_expected) {
-                self.next_expected += 1;
+            } else if self.cancelled.remove(&next) {
+                *next_rx += 1;
             } else {
-                break;
+                return drained;
             }
         }
-        drained
+    }
+
+    fn is_empty(&self) -> bool {
+        self.held.is_empty() && self.cancelled.is_empty()
     }
 }
 
@@ -183,10 +212,14 @@ impl<M> PairState<M> {
 ///
 /// The sender side assigns a per-pair sequence number with [`next_seq`]; the
 /// receiver side passes arrivals to [`accept`], which hands every message
-/// now deliverable to a callback, in order. An arrival that is the next
-/// expected one goes straight to the callback: the held-back map is touched
-/// only when it is non-empty or the arrival is ahead, so in-order traffic
-/// allocates nothing.
+/// now deliverable to a callback, in order.
+///
+/// Each pair that ever carried traffic has one 16-byte entry holding both
+/// counters. Held-back and cancelled messages live in a side map that has
+/// an entry for a pair only while it holds or has cancelled something; the
+/// entry is removed once drained. A marker bit in the pair entry says
+/// whether the side map needs consulting, so an in-order arrival on a pair
+/// with nothing parked touches exactly one entry and allocates nothing.
 ///
 /// [`next_seq`]: ReorderBuffers::next_seq
 /// [`accept`]: ReorderBuffers::accept
@@ -209,9 +242,9 @@ impl<M> PairState<M> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ReorderBuffers<M> {
-    // Keyed lookups only — never iterated (see FifoChains::last).
-    tx_seq: FxHashMap<(MhId, MhId), u64>,
-    rx: FxHashMap<(MhId, MhId), PairState<M>>,
+    // Keyed lookups only — never iterated.
+    pairs: FxHashMap<(MhId, MhId), Pair>,
+    parked: FxHashMap<(MhId, MhId), Parked<M>>,
     /// Peak number of simultaneously-held (out-of-order) messages.
     peak_held: usize,
     currently_held: usize,
@@ -220,8 +253,8 @@ pub struct ReorderBuffers<M> {
 impl<M> Default for ReorderBuffers<M> {
     fn default() -> Self {
         ReorderBuffers {
-            tx_seq: FxHashMap::default(),
-            rx: FxHashMap::default(),
+            pairs: FxHashMap::default(),
+            parked: FxHashMap::default(),
             peak_held: 0,
             currently_held: 0,
         }
@@ -231,9 +264,10 @@ impl<M> Default for ReorderBuffers<M> {
 impl<M> ReorderBuffers<M> {
     /// Allocates the next sequence number for the `src → dst` pair.
     pub fn next_seq(&mut self, src: MhId, dst: MhId) -> u64 {
-        let c = self.tx_seq.entry((src, dst)).or_insert(0);
-        let s = *c;
-        *c += 1;
+        let p = self.pairs.entry((src, dst)).or_default();
+        let s = p.next_tx;
+        debug_assert!(s < PARKED, "sequence numbers stay below 2^63");
+        p.next_tx += 1;
         s
     }
 
@@ -243,36 +277,58 @@ impl<M> ReorderBuffers<M> {
     ///
     /// Duplicate or already-delivered sequence numbers are ignored.
     pub fn accept(&mut self, src: MhId, dst: MhId, seq: u64, msg: M, mut deliver: impl FnMut(M)) {
-        let st = self.rx.entry((src, dst)).or_default();
-        if seq == st.next_expected {
-            // An in-order arrival counts as momentarily held.
+        let pair = self.pairs.entry((src, dst)).or_default();
+        if seq == pair.next_rx {
+            // In order with nothing parked. It counts as momentarily held.
             self.peak_held = self.peak_held.max(self.currently_held + 1);
-            st.next_expected += 1;
+            pair.next_rx += 1;
             deliver(msg);
-            if !st.held.is_empty() || !st.cancelled.is_empty() {
-                self.currently_held -= st.drain(&mut deliver);
-            }
             return;
         }
-        if seq < st.next_expected || st.held.contains_key(&seq) {
+        if seq < pair.expected() {
             return; // duplicate
         }
-        // Ahead of the next expected message: nothing becomes deliverable.
-        st.held.insert(seq, msg);
+        pair.next_rx |= PARKED;
+        let side = self.parked.entry((src, dst)).or_default();
+        if side.held.contains_key(&seq) {
+            return; // duplicate
+        }
+        side.held.insert(seq, msg);
         self.currently_held += 1;
         self.peak_held = self.peak_held.max(self.currently_held);
+        self.settle(src, dst, &mut deliver);
     }
 
     /// Marks `seq` as aborted by the transport (its message will never
     /// arrive) and passes any successors that become deliverable to
     /// `deliver`.
     pub fn cancel(&mut self, src: MhId, dst: MhId, seq: u64, mut deliver: impl FnMut(M)) {
-        let st = self.rx.entry((src, dst)).or_default();
-        if seq < st.next_expected {
+        let pair = self.pairs.entry((src, dst)).or_default();
+        if seq < pair.expected() {
             return; // already delivered or skipped
         }
-        st.cancelled.insert(seq);
-        self.currently_held -= st.drain(&mut deliver);
+        pair.next_rx |= PARKED;
+        self.parked
+            .entry((src, dst))
+            .or_default()
+            .cancelled
+            .insert(seq);
+        self.settle(src, dst, &mut deliver);
+    }
+
+    /// Drains a parked pair as far as it is now in order, and removes its
+    /// side entry (and marker) once nothing is left parked.
+    fn settle(&mut self, src: MhId, dst: MhId, deliver: &mut impl FnMut(M)) {
+        let pair = self.pairs.get_mut(&(src, dst)).expect("parked pair exists");
+        let side = self
+            .parked
+            .get_mut(&(src, dst))
+            .expect("parked pair has a side entry");
+        self.currently_held -= side.drain(&mut pair.next_rx, deliver);
+        if side.is_empty() {
+            self.parked.remove(&(src, dst));
+            pair.next_rx &= !PARKED;
+        }
     }
 
     /// Messages currently held back waiting for a predecessor.
@@ -289,8 +345,8 @@ impl<M> ReorderBuffers<M> {
     /// Forgets all sequencing state and statistics, retaining the map
     /// allocations for reuse.
     pub fn clear(&mut self) {
-        self.tx_seq.clear();
-        self.rx.clear();
+        self.pairs.clear();
+        self.parked.clear();
         self.peak_held = 0;
         self.currently_held = 0;
     }
@@ -407,6 +463,27 @@ mod tests {
     }
 
     #[test]
+    fn pair_entry_fits_sixteen_bytes() {
+        assert!(std::mem::size_of::<Pair>() <= 16);
+    }
+
+    #[test]
+    fn drained_pair_leaves_the_side_map() {
+        let mut b: ReorderBuffers<u32> = ReorderBuffers::default();
+        let (a, z) = (MhId(0), MhId(1));
+        let s: Vec<u64> = (0..4).map(|_| b.next_seq(a, z)).collect();
+        assert!(accept(&mut b, a, z, s[1], 1).is_empty());
+        assert!(cancel(&mut b, a, z, s[3]).is_empty());
+        assert_eq!(b.parked.len(), 1);
+        assert_eq!(accept(&mut b, a, z, s[0], 0), vec![0, 1]);
+        assert_eq!(b.parked.len(), 1, "the cancelled seq 3 is still ahead");
+        assert_eq!(accept(&mut b, a, z, s[2], 2), vec![2]);
+        assert!(b.parked.is_empty());
+        // The marker is cleared, so the pair is back on the fast path.
+        assert_eq!(b.pairs[&(a, z)].next_rx, 4);
+    }
+
+    #[test]
     fn reorder_ignores_duplicates() {
         let mut b: ReorderBuffers<u32> = ReorderBuffers::default();
         let (a, z) = (MhId(0), MhId(1));
@@ -460,6 +537,15 @@ mod tests {
     }
 
     impl Reference {
+        /// Pairs that hold a message or have a cancelled sequence number
+        /// still ahead of them.
+        fn parked_pairs(&self) -> usize {
+            self.rx
+                .values()
+                .filter(|p| !p.held.is_empty() || p.cancelled.range(p.next..).next().is_some())
+                .count()
+        }
+
         fn accept(&mut self, src: MhId, dst: MhId, seq: u64, msg: u32) -> Vec<u32> {
             let st = self.rx.entry((src, dst)).or_default();
             if seq < st.next || st.held.contains_key(&seq) {
@@ -546,6 +632,11 @@ mod tests {
                 assert_eq!(got, want, "seed {seed} step {step}: delivered order");
                 assert_eq!(b.held(), r.held, "seed {seed} step {step}: held");
                 assert_eq!(b.peak_held(), r.peak, "seed {seed} step {step}: peak");
+                assert_eq!(
+                    b.parked.len(),
+                    r.parked_pairs(),
+                    "seed {seed} step {step}: side-map entries"
+                );
             }
             assert!(r.peak >= 2, "seed {seed}: traffic never ran out of order");
         }
